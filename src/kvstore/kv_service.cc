@@ -6,12 +6,14 @@ namespace psmr::kvstore {
 
 util::Buffer encode_key(std::uint64_t k) {
   util::Writer w;
+  w.reserve(8);
   w.u64(k);
   return w.take();
 }
 
 util::Buffer encode_key_value(std::uint64_t k, std::uint64_t v) {
   util::Writer w;
+  w.reserve(16);
   w.u64(k);
   w.u64(v);
   return w.take();
@@ -19,6 +21,7 @@ util::Buffer encode_key_value(std::uint64_t k, std::uint64_t v) {
 
 util::Buffer encode_key_range(std::uint64_t lo, std::uint64_t hi) {
   util::Writer w;
+  w.reserve(16);
   w.u64(lo);
   w.u64(hi);
   return w.take();
@@ -38,6 +41,7 @@ std::uint64_t decode_key(std::span<const std::uint8_t> params) {
 
 util::Buffer encode_result(KvResult res) {
   util::Writer w;
+  w.reserve(9);
   w.u8(res.status);
   w.u64(res.value);
   return w.take();

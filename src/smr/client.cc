@@ -8,10 +8,10 @@ namespace psmr::smr {
 ClientProxy::ClientProxy(transport::Network& net, multicast::Bus& bus,
                          std::shared_ptr<const CGFunction> cg, ClientId id,
                          std::shared_ptr<AdmissionController> admission,
-                         SubmitSpooler* spooler)
+                         std::shared_ptr<SubmitSpooler> spooler)
     : net_(net),
       bus_(&bus),
-      spooler_(spooler),
+      spooler_(std::move(spooler)),
       cg_(std::move(cg)),
       admission_(std::move(admission)),
       id_(id) {
@@ -64,12 +64,13 @@ std::optional<Seq> ClientProxy::submit(CommandId cmd, util::Buffer params) {
       return seq;
     }
   }
-  // Spooled path: marshal straight into the shared pooled SUBMIT_MANY
+  // Spooled path: marshal straight into this proxy's pooled SUBMIT_MANY
   // frame — no per-command encode, no per-command bus round-trip.  Falls
   // back to per-command dispatch when spooling is off or in direct mode.
-  // The mailbox check keeps the no-wedge contract under shutdown: a spooled
-  // command's transport rejection only surfaces at flush time, so refuse
-  // up front once our own mailbox (closed by Network::shutdown) is dead.
+  // The mailbox check (lock-free) keeps the no-wedge contract under
+  // shutdown: a spooled command's transport rejection only surfaces at
+  // flush time, so refuse up front once our own mailbox (closed by
+  // Network::shutdown) is dead.
   const bool accepted = (spooler_ != nullptr && bus_ != nullptr)
                             ? (!mailbox_->closed() && spooler_->spool(node_, c))
                             : dispatch(c);
@@ -92,9 +93,9 @@ void ClientProxy::absorb(Response resp, bool rejected) {
 
 std::optional<ClientProxy::Completion> ClientProxy::poll(
     std::chrono::microseconds timeout) {
-  // Flush-before-wait: push every spooled command of the deployment out
-  // before this client can block on its mailbox, so no one waits on a
-  // command still parked in a spool.
+  // Flush-before-wait: push this proxy's spooled commands out before it can
+  // block on its mailbox, so it never waits on a command still parked in
+  // its own spool (no other proxy's commands are in it).
   if (spooler_ != nullptr) spooler_->flush_all(node_);
   auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {

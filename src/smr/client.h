@@ -37,15 +37,16 @@ class ClientProxy {
   /// command never reaches the bus; it fails fast as a kSmrRejected
   /// completion instead (see admission.h).
   /// `spooler`, when set, pipelines submissions: submit() marshals the
-  /// command straight into the deployment-shared SubmitSpooler's pooled
-  /// frame instead of a per-command Bus::multicast; poll() flushes every
-  /// spool on entry, before it can block on the mailbox (see
-  /// submit_spooler.h).  Retransmissions bypass the spooler — a retry is
-  /// rare and latency-bound, not throughput-bound.
+  /// command straight into this proxy's own SubmitSpooler instead of a
+  /// per-command Bus::multicast; poll() flushes this proxy's spools on
+  /// entry, before it can block on the mailbox (see submit_spooler.h).  The
+  /// proxy must be the spooler's only user; the deployment keeps a second
+  /// reference only to read its stats.  Retransmissions bypass the spooler
+  /// — a retry is rare and latency-bound, not throughput-bound.
   ClientProxy(transport::Network& net, multicast::Bus& bus,
               std::shared_ptr<const CGFunction> cg, ClientId id,
               std::shared_ptr<AdmissionController> admission = nullptr,
-              SubmitSpooler* spooler = nullptr);
+              std::shared_ptr<SubmitSpooler> spooler = nullptr);
 
   /// Direct-mode proxy: requests go one-to-one to `server`.
   ClientProxy(transport::Network& net, transport::NodeId server, ClientId id);
@@ -112,7 +113,7 @@ class ClientProxy {
 
   transport::Network& net_;
   multicast::Bus* bus_ = nullptr;  // null in direct mode
-  SubmitSpooler* spooler_ = nullptr;  // null: per-command dispatch
+  std::shared_ptr<SubmitSpooler> spooler_;  // null: per-command dispatch
   transport::NodeId server_ = transport::kNoNode;
   std::shared_ptr<const CGFunction> cg_;
   std::shared_ptr<AdmissionController> admission_;

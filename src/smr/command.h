@@ -67,6 +67,7 @@ struct Command {
 
   [[nodiscard]] util::Buffer encode() const {
     util::Writer w;
+    w.reserve(encoded_size());
     encode_into(w);
     return w.take();
   }
@@ -99,8 +100,14 @@ struct Response {
   Seq seq = 0;
   util::Buffer payload;
 
+  /// Exact size of encode()'s output.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return 8 + 8 + 4 + payload.size();
+  }
+
   [[nodiscard]] util::Buffer encode() const {
     util::Writer w;
+    w.reserve(encoded_size());
     w.u64(client);
     w.u64(seq);
     w.bytes(payload);

@@ -207,7 +207,9 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   // The executed run is the natural flush unit: its replies leave as one
   // frame per destination proxy before the worker blocks on its stream.
   coalescer_->flush_batch();
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  // Release: whoever reads the new count also sees the state this run
+  // wrote (tests compare digests once the counts settle).
+  executed_.fetch_add(run.size(), std::memory_order_release);
   // Periodic checkpoint trigger, counted on worker 0 only (one counter per
   // replica; every replica triggers, and duplicate markers collapse at the
   // barrier when nothing executed in between).

@@ -32,7 +32,10 @@ inline constexpr std::uint32_t kMaxResponsesPerMessage = 4096;
 /// taking them in that form avoids a second marshaling pass.
 inline util::Buffer encode_response_batch(
     const std::vector<util::Buffer>& encoded) {
+  std::size_t size = 4;
+  for (const auto& r : encoded) size += 4 + r.size();
   util::Writer w;
+  w.reserve(size);
   w.u32(static_cast<std::uint32_t>(encoded.size()));
   for (const auto& r : encoded) w.bytes(r);
   return w.take();

@@ -83,9 +83,6 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
     admission_ = std::make_shared<AdmissionController>(
         cfg_.admission, [bus] { return bus->total_stats(); });
   }
-  if (cfg_.pipeline_submits.enabled && bus_) {
-    spooler_ = std::make_unique<SubmitSpooler>(*bus_, cfg_.pipeline_submits);
-  }
 }
 
 std::unique_ptr<PsmrReplica> Deployment::build_psmr_replica(
@@ -216,13 +213,20 @@ bool Deployment::restart_replica(std::size_t i) {
 }
 
 std::unique_ptr<ClientProxy> Deployment::make_client() {
+  std::lock_guard lock(clients_mu_);
   ClientId id = next_client_++;
   switch (cfg_.mode) {
     case Mode::kSmr:
     case Mode::kSpsmr:
-    case Mode::kPsmr:
+    case Mode::kPsmr: {
+      std::shared_ptr<SubmitSpooler> spooler;
+      if (cfg_.pipeline_submits.enabled) {
+        spooler = std::make_shared<SubmitSpooler>(*bus_, cfg_.pipeline_submits);
+        spoolers_.push_back(spooler);
+      }
       return std::make_unique<ClientProxy>(net_, *bus_, client_cg_, id,
-                                           admission_, spooler_.get());
+                                           admission_, std::move(spooler));
+    }
     case Mode::kNoRep:
       return std::make_unique<ClientProxy>(net_, norep_->id(), id);
     case Mode::kLockServer: {
@@ -300,7 +304,10 @@ AdmissionStats Deployment::admission_stats() const {
 }
 
 SpoolStats Deployment::spool_stats() const {
-  return spooler_ ? spooler_->stats() : SpoolStats{};
+  std::lock_guard lock(clients_mu_);
+  SpoolStats total;
+  for (const auto& s : spoolers_) total += s->stats();
+  return total;
 }
 
 }  // namespace psmr::smr

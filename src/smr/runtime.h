@@ -59,11 +59,11 @@ struct DeploymentConfig {
   /// wire message per reply.  Ignored by the lock server, whose handlers
   /// reply inline per command.
   bool coalesce_responses = true;
-  /// Client-side submit pipelining: client proxies of the replicated modes
-  /// share one SubmitSpooler that marshals submissions straight into pooled
-  /// per-ring SUBMIT_MANY frames and flushes them as bursts (see
-  /// submit_spooler.h).  `pipeline_submits.enabled = false` restores one
-  /// Bus::multicast per command.  Ignored by unreplicated modes.
+  /// Client-side submit pipelining: each client proxy of the replicated
+  /// modes gets its own SubmitSpooler that marshals submissions straight
+  /// into pooled per-ring SUBMIT_MANY frames and flushes them as bursts
+  /// (see submit_spooler.h).  `pipeline_submits.enabled = false` restores
+  /// one Bus::multicast per command.  Ignored by unreplicated modes.
   SubmitSpoolerOptions pipeline_submits;
   /// Replica-side execution batching: maximum run of consecutive
   /// independent commands handed to the service as one execute_batch call
@@ -107,8 +107,9 @@ class Deployment {
   void start();
   void stop();
 
-  /// Creates a client proxy bound to this deployment (thread-compatible:
-  /// each client belongs to one driver thread).
+  /// Creates a client proxy bound to this deployment, with its own submit
+  /// spooler when pipelining is on.  Thread-safe; each client then belongs
+  /// to one driver thread.
   std::unique_ptr<ClientProxy> make_client();
 
   [[nodiscard]] Mode mode() const { return cfg_.mode; }
@@ -135,12 +136,10 @@ class Deployment {
   /// Aggregate response_stats over every replica.
   [[nodiscard]] ResponseStats response_stats() const;
 
-  /// Submit-pipelining counters of the shared spooler (zeros when
-  /// pipelining is disabled or the mode is unreplicated).
+  /// Submit-pipelining counters summed over every client proxy's spooler,
+  /// including proxies already destroyed (zeros when pipelining is disabled
+  /// or the mode is unreplicated).
   [[nodiscard]] SpoolStats spool_stats() const;
-  /// The shared spooler (nullptr when pipelining is disabled or the mode is
-  /// unreplicated).
-  [[nodiscard]] SubmitSpooler* spooler() { return spooler_.get(); }
 
   /// Admission counters (zeros when admission is disabled or the mode is
   /// unreplicated).
@@ -205,7 +204,13 @@ class Deployment {
   std::unique_ptr<multicast::Bus> bus_;
   std::shared_ptr<const CGFunction> client_cg_;
   std::shared_ptr<AdmissionController> admission_;
-  std::unique_ptr<SubmitSpooler> spooler_;
+
+  /// Guards client creation: the id counter, the handler cursor and the
+  /// spooler list, which spool_stats() reads.
+  mutable std::mutex clients_mu_;
+  std::vector<std::shared_ptr<SubmitSpooler>> spoolers_;
+  ClientId next_client_ = 1;
+  std::size_t next_handler_ = 0;
 
   /// Guards the psmr_ slot pointers, which crash_replica/restart_replica
   /// swap while monitor threads read the per-replica accessors.
@@ -216,8 +221,6 @@ class Deployment {
   std::unique_ptr<LockServer> lock_;
   std::shared_ptr<Service> lock_service_;
 
-  ClientId next_client_ = 1;
-  std::size_t next_handler_ = 0;
   bool started_ = false;
 };
 

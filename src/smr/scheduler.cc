@@ -128,7 +128,9 @@ void SchedulerCore::execute_run(std::vector<Command>& run) {
   // Batch boundary: the run's replies go on the wire before this worker
   // reports idle, so drain() never completes with responses still spooled.
   coalescer_->flush_batch();
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  // Release: whoever reads the new count also sees the state this run
+  // wrote (tests compare digests once the counts settle).
+  executed_.fetch_add(run.size(), std::memory_order_release);
   {
     std::lock_guard lock(idle_mu_);
     in_flight_ -= static_cast<std::int64_t>(run.size());

@@ -6,30 +6,38 @@
 // lock round-trip — one wire message and one coalescer critical section per
 // command.  The spooler instead keeps one open pooled SUBMIT_MANY frame per
 // destination ring; submit() marshals the command *straight into that
-// frame* (util::PayloadWriter, no intermediate Buffer) under one short
-// critical section and returns.  A spool flushes as a single pre-encoded
-// burst — one Bus::submit_encoded call, one wire message — when:
+// frame* (util::PayloadWriter, no intermediate Buffer) and returns.
+//
+// Each ClientProxy owns its own spooler, so spooling takes no lock and one
+// client's submits never wait on another's flush.  A spool flushes as a
+// single pre-encoded burst — one Bus::submit_encoded call, one wire
+// message — when:
 //
 //   * it reaches max_commands or max_bytes (bounded burst size), or
-//   * any client enters poll() (flush-before-wait: a client about to block
-//     for replies first pushes every spooled command of the deployment out,
-//     so nothing it — or anyone else — is waiting on can be stranded), or
+//   * its proxy enters poll() (flush-before-wait: a client about to block
+//     for replies first pushes its own spooled commands out, so nothing it
+//     waits on can be stranded), or
 //   * flush_all() is called explicitly (benches, shutdown).
 //
 // There is no timer thread, exactly like the ResponseCoalescer and the
 // SubmitCoalescer: a client that awaits a reply always polls, and the poll
-// entry is the flush trigger.  Ordering is preserved where it matters —
-// commands of one client to one ring stay FIFO within and across frames,
-// and same-key commands of a client map to the same ring by construction
-// (the C-G function is deterministic on keys).
+// entry is the flush trigger.  Batching across clients happens one hop
+// later, where the ring coordinator cuts the bursts of all clients into
+// batches.  Ordering is preserved where it matters — commands of one
+// client to one ring stay FIFO within and across frames, and same-key
+// commands of a client map to the same ring by construction (the C-G
+// function is deterministic on keys).
+//
+// A frame starts in the pool's smallest block class and grows with its
+// contents, so a spool that carries one command holds one small block.
 //
 // The wire format is the unchanged kPaxosSubmitMany frame: u32 count +
 // count × length-prefixed commands; the count is patched into the frame's
 // first 4 bytes at flush time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "multicast/amcast.h"
@@ -83,9 +91,9 @@ struct SpoolStats {
   }
 };
 
-/// Shared by every ClientProxy of a deployment (thread-safe).  One spool —
-/// an open pooled SUBMIT_MANY frame — per destination ring, so concurrent
-/// clients of the same ring pipeline into one burst.
+/// Owned by one ClientProxy.  One spool — an open pooled SUBMIT_MANY frame
+/// — per destination ring.  spool() and flush_all() must be called from one
+/// thread at a time (the proxy's); stats() may be read from any thread.
 class SubmitSpooler {
  public:
   SubmitSpooler(multicast::Bus& bus, SubmitSpoolerOptions opt);
@@ -104,33 +112,39 @@ class SubmitSpooler {
   /// `poll_entry` only attributes the flush reason in stats.
   void flush_all(transport::NodeId from, bool poll_entry = true);
 
-  [[nodiscard]] SpoolStats stats() const {
-    std::lock_guard lock(mu_);
-    return stats_;
-  }
+  [[nodiscard]] SpoolStats stats() const;
 
  private:
   struct Spool {
-    util::PayloadWriter w;
+    util::PayloadWriter w{0};
     std::size_t count = 0;
-    Spool() : w(0) {}
   };
 
-  enum class FlushReason { kCount, kBytes, kPoll };
+  /// SpoolStats fields, in order.  Only the owning thread writes them.
+  enum Counter : std::size_t {
+    kSpooled,
+    kFlushes,
+    kFlushedCommands,
+    kFlushedBytes,
+    kOnCount,
+    kOnBytes,
+    kOnPoll,
+    kFailed,
+    kNumCounters
+  };
 
-  /// Starts a fresh frame: acquires a pooled block and reserves the u32
-  /// count slot.
-  void reset_locked(Spool& s);
-  /// Sends spool `ring` as one pre-encoded SUBMIT_MANY frame.  Called with
-  /// mu_ held.  False when the transport rejected the frame.
-  bool flush_locked(std::size_t ring, transport::NodeId from,
-                    FlushReason reason);
+  void add(Counter k, std::uint64_t d) {
+    n_[k].store(n_[k].load(std::memory_order_relaxed) + d,
+                std::memory_order_relaxed);
+  }
+  /// Sends spool `ring` as one pre-encoded SUBMIT_MANY frame.  False when
+  /// the transport rejected the frame.
+  bool flush(std::size_t ring, transport::NodeId from, Counter reason);
 
   multicast::Bus& bus_;
   const SubmitSpoolerOptions opt_;
-  mutable std::mutex mu_;
   std::vector<Spool> spools_;  // index-aligned with the bus's ring indices
-  SpoolStats stats_;
+  std::atomic<std::uint64_t> n_[kNumCounters] = {};
 };
 
 }  // namespace psmr::smr

@@ -1,8 +1,26 @@
 #include "transport/network.h"
 
+#include <bit>
+
 #include "util/clock.h"
 
 namespace psmr::transport {
+
+namespace {
+
+/// Segment index and offset of `id` in the node table (see Network::find).
+struct SlotPos {
+  std::size_t segment;
+  std::size_t offset;
+};
+
+SlotPos slot_pos(NodeId id, std::size_t first) {
+  const std::size_t v = id / first + 1;
+  const std::size_t s = static_cast<std::size_t>(std::bit_width(v)) - 1;
+  return {s, id - first * ((std::size_t{1} << s) - 1)};
+}
+
+}  // namespace
 
 Network::Network() : pacer_([this] { pacer_loop(); }) {}
 
@@ -14,21 +32,45 @@ Network::~Network() {
     delay_cv_.notify_all();
   }
   if (pacer_.joinable()) pacer_.join();
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    Slot* seg = segments_[s].load(std::memory_order_relaxed);
+    if (seg == nullptr) continue;
+    for (std::size_t i = 0; i < (kFirstSegment << s); ++i) {
+      delete seg[i].load(std::memory_order_relaxed);
+    }
+    delete[] seg;
+  }
+}
+
+Network::Node* Network::find(NodeId id) const {
+  const SlotPos pos = slot_pos(id, kFirstSegment);
+  if (pos.segment >= kSegments) return nullptr;
+  Slot* seg = segments_[pos.segment].load(std::memory_order_acquire);
+  return seg == nullptr ? nullptr
+                        : seg[pos.offset].load(std::memory_order_acquire);
 }
 
 std::pair<NodeId, std::shared_ptr<Mailbox>> Network::register_node() {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(register_mu_);
   NodeId id = next_id_++;
-  auto mailbox = std::make_shared<Mailbox>();
-  nodes_.emplace(id, mailbox);
-  return {id, std::move(mailbox)};
+  const SlotPos pos = slot_pos(id, kFirstSegment);
+  Slot* seg = segments_[pos.segment].load(std::memory_order_relaxed);
+  if (seg == nullptr) {
+    seg = new Slot[kFirstSegment << pos.segment]();
+    segments_[pos.segment].store(seg, std::memory_order_release);
+  }
+  auto* node = new Node;
+  node->mailbox = std::make_shared<Mailbox>();
+  seg[pos.offset].store(node, std::memory_order_release);
+  return {id, node->mailbox};
 }
 
 bool Network::send(Message msg) {
   if (shutdown_) return false;
-  {
-    std::lock_guard lock(mu_);
-    if (disconnected_.contains(msg.from) || disconnected_.contains(msg.to)) {
+  for (NodeId end : {msg.from, msg.to}) {
+    const Node* node = find(end);
+    if (node != nullptr &&
+        node->disconnected.load(std::memory_order_acquire)) {
       return false;
     }
   }
@@ -58,30 +100,34 @@ bool Network::send(NodeId from, NodeId to, std::uint16_t type,
 }
 
 bool Network::deliver(Message&& msg) {
-  std::shared_ptr<Mailbox> mailbox;
-  {
-    std::lock_guard lock(mu_);
-    auto it = nodes_.find(msg.to);
-    if (it == nodes_.end()) return false;
-    if (disconnected_.contains(msg.to)) return false;
-    mailbox = it->second;
+  Node* node = find(msg.to);
+  if (node == nullptr) return false;
+  // Announce the delivery before checking the flag; disconnect() sets the
+  // flag before waiting for announced deliveries (both seq_cst), so either
+  // this check sees the flag or disconnect() waits for the push below.
+  node->delivering.fetch_add(1);
+  bool pushed = false;
+  if (!node->disconnected.load()) pushed = node->mailbox->push(std::move(msg));
+  node->delivering.fetch_sub(1, std::memory_order_release);
+  return pushed;
+}
+
+void Network::disconnect(NodeId id) {
+  Node* node = find(id);
+  if (node == nullptr) return;
+  node->disconnected.store(true);
+  while (node->delivering.load() != 0) std::this_thread::yield();
+}
+
+void Network::reconnect(NodeId id) {
+  if (Node* node = find(id)) {
+    node->disconnected.store(false, std::memory_order_release);
   }
-  return mailbox->push(std::move(msg));
 }
 
-void Network::disconnect(NodeId node) {
-  std::lock_guard lock(mu_);
-  disconnected_.insert(node);
-}
-
-void Network::reconnect(NodeId node) {
-  std::lock_guard lock(mu_);
-  disconnected_.erase(node);
-}
-
-bool Network::connected(NodeId node) const {
-  std::lock_guard lock(mu_);
-  return !disconnected_.contains(node);
+bool Network::connected(NodeId id) const {
+  const Node* node = find(id);
+  return node == nullptr || !node->disconnected.load(std::memory_order_acquire);
 }
 
 void Network::set_drop_probability(double p) { drop_probability_ = p; }
@@ -94,14 +140,11 @@ NetworkStats Network::stats() const {
 }
 
 void Network::shutdown() {
-  std::vector<std::shared_ptr<Mailbox>> boxes;
   {
-    std::lock_guard lock(mu_);
+    std::lock_guard lock(register_mu_);
     if (shutdown_.exchange(true)) return;
-    boxes.reserve(nodes_.size());
-    for (auto& [id, box] : nodes_) boxes.push_back(box);
+    for (NodeId id = 1; id < next_id_; ++id) find(id)->mailbox->close();
   }
-  for (auto& box : boxes) box->close();
   delay_cv_.notify_all();
 }
 

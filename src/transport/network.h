@@ -15,8 +15,6 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "transport/message.h"
@@ -41,6 +39,12 @@ struct NetworkStats {
 /// is configured; with a delay, messages are released in timestamp order by
 /// a background pacer thread (still FIFO per pair because the delay is
 /// constant).
+///
+/// send() and delivery take no lock: nodes live in a segmented table that
+/// register_node() publishes with release stores and lookups read with
+/// acquire loads, and each node carries its own atomic disconnected flag.
+/// Nodes are never removed, so a looked-up node stays valid for the
+/// network's lifetime.
 class Network {
  public:
   Network();
@@ -64,7 +68,10 @@ class Network {
   bool send(NodeId from, NodeId to, std::uint16_t type, util::Payload payload);
 
   /// Crash-simulation: a disconnected node's mailbox receives nothing and
-  /// its sends are suppressed, until reconnect().
+  /// its sends are suppressed, until reconnect().  Once disconnect()
+  /// returns, no message is pushed into the node's mailbox: it waits out
+  /// deliveries that passed the flag check before it was set.  Unknown
+  /// nodes are ignored.
   void disconnect(NodeId node);
   void reconnect(NodeId node);
   [[nodiscard]] bool connected(NodeId node) const;
@@ -81,13 +88,29 @@ class Network {
   void shutdown();
 
  private:
+  struct Node {
+    std::shared_ptr<Mailbox> mailbox;
+    std::atomic<bool> disconnected{false};
+    /// Deliveries between their disconnected check and their push;
+    /// disconnect() waits for it to reach zero.
+    std::atomic<std::uint32_t> delivering{0};
+  };
+
+  /// Segment s holds kFirstSegment << s slots, so 27 segments cover every
+  /// 32-bit NodeId.
+  static constexpr std::size_t kFirstSegment = 64;
+  static constexpr std::size_t kSegments = 27;
+  using Slot = std::atomic<Node*>;
+
+  /// The registered node `id`, or nullptr.  Lock-free.
+  [[nodiscard]] Node* find(NodeId id) const;
+
   void pacer_loop();
   bool deliver(Message&& msg);
 
-  mutable std::mutex mu_;
-  std::unordered_map<NodeId, std::shared_ptr<Mailbox>> nodes_;
-  std::unordered_set<NodeId> disconnected_;
-  NodeId next_id_ = 1;
+  std::mutex register_mu_;  // serializes register_node and shutdown
+  std::atomic<Slot*> segments_[kSegments] = {};
+  NodeId next_id_ = 1;  // guarded by register_mu_
 
   std::atomic<double> drop_probability_{0.0};
   std::atomic<std::int64_t> delay_us_{0};

@@ -9,7 +9,9 @@
 //     block carries an intrusive header {atomic refcount, capacity, origin
 //     pool}; acquire() pops a free block of the smallest fitting class (or
 //     heap-allocates on a miss / oversize request), and the last release
-//     recycles the block into its class's bounded free list.
+//     recycles the block.  Each thread keeps a small bounded cache per
+//     class in front of the shared free lists, so acquire and release take
+//     the pool mutex only to refill or spill half a cache.
 //   * PooledBuf — the owning handle.  Copying bumps the refcount; the block
 //     is recycled when the last handle drops.  Fan-out (multicast to N ring
 //     nodes, kPaxosDecide to every learner) therefore shares one block
@@ -32,10 +34,9 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "util/bytes.h"
 
@@ -45,17 +46,22 @@ class BufferPool;
 
 /// Pool counters, readable while the pool runs.  `outstanding` is the
 /// number of live blocks (acquired and not yet fully released); everything
-/// else is cumulative.
+/// else is cumulative.  Each thread counts its own calls, and stats() sums
+/// the threads, so a snapshot taken while other threads run may be a few
+/// operations stale.
 struct PoolStats {
-  std::uint64_t hits = 0;      ///< acquire() served from a free list
+  std::uint64_t hits = 0;      ///< acquire() served from a cache or free list
   std::uint64_t misses = 0;    ///< acquire() heap-allocated (cold class)
   std::uint64_t oversize = 0;  ///< acquire() larger than the largest class
-  std::uint64_t recycled = 0;  ///< blocks returned to a free list
+  std::uint64_t recycled = 0;  ///< blocks returned to a cache or free list
   std::uint64_t dropped = 0;   ///< blocks freed because the list was full
   std::int64_t outstanding = 0;
 };
 
 namespace detail {
+
+struct PoolShared;
+struct PoolCache;
 
 /// Intrusive block header, co-allocated immediately before the data bytes.
 /// sizeof == 16, so data starts 16-aligned.
@@ -136,18 +142,30 @@ class PooledBuf {
 
 /// Thread-safe, size-classed pool of ref-counted byte blocks.
 ///
-/// Free lists are bounded (`max_free_per_class` blocks retained per class);
+/// Shared free lists are bounded (`max_free_per_class` blocks per class);
 /// beyond that, released blocks go back to the heap, and requests larger
 /// than the largest class always heap-allocate (`oversize`) and free on
-/// release.  The pool must outlive every block it handed out; the process
-/// -wide global() pool is intentionally never destroyed so handles in
+/// release.
+///
+/// In front of the free lists, every thread that uses the pool keeps a
+/// cache per class, bounded both in blocks (kCacheBlocks, and an eighth of
+/// max_free_per_class) and in bytes (kCacheClassBytes).  A release goes to
+/// the releasing thread's cache; an acquire takes from the acquiring
+/// thread's cache.  Only an empty cache (refill) or a full one (spill)
+/// takes the pool mutex, and moves half a cache at a time, so blocks that
+/// flow from producer to consumer threads cross the mutex in batches.  A
+/// thread that exits hands its cached blocks back to the free lists.
+///
+/// The pool must outlive every block it handed out; the process-wide
+/// global() pool is intentionally never destroyed so handles in
 /// static-storage objects stay safe during shutdown.
 class BufferPool {
  public:
   struct Options {
-    /// Blocks retained per size class before releases fall through to the
-    /// heap.  Sized for a deployment's steady state: every in-flight
-    /// message, pending batch and spool block of a full P-SMR cluster.
+    /// Blocks retained per size class in the shared free list before
+    /// releases fall through to the heap.  Sized for a deployment's steady
+    /// state: every in-flight message, pending batch and spool block of a
+    /// full P-SMR cluster.
     std::size_t max_free_per_class = 256;
   };
 
@@ -159,6 +177,11 @@ class BufferPool {
                                              16384, 65536};
   static constexpr std::size_t kNumClasses =
       sizeof(kClasses) / sizeof(kClasses[0]);
+
+  /// Per-thread cache bounds for each class: at most this many blocks ...
+  static constexpr std::size_t kCacheBlocks = 32;
+  /// ... and at most this many bytes (one block of the largest class).
+  static constexpr std::size_t kCacheClassBytes = 64 * 1024;
 
   BufferPool();
   explicit BufferPool(Options opt);
@@ -174,7 +197,8 @@ class BufferPool {
 
   [[nodiscard]] PoolStats stats() const;
 
-  /// Frees every retained free-list block (outstanding blocks are
+  /// Frees every block retained in the free lists and in the calling
+  /// thread's cache (outstanding blocks, and other threads' caches, are
   /// untouched).  Test hook for exhaustion / leak accounting.
   void trim();
 
@@ -191,15 +215,19 @@ class BufferPool {
 
   void release_block(detail::BlockHeader* hdr);
 
+  /// The calling thread's cache for this pool, created on first use;
+  /// nullptr once the thread has begun to exit.
+  detail::PoolCache* local_cache();
+  /// Moves up to half a cache of class-c blocks from the free list into
+  /// `cache` (refill) or from `cache` into the free list (spill).
+  void refill(detail::PoolCache& cache, std::size_t c);
+  void spill(detail::PoolCache& cache, std::size_t c);
+
   const Options opt_;
-  mutable std::mutex mu_;
-  std::vector<detail::BlockHeader*> free_[kNumClasses];
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t oversize_ = 0;
-  std::uint64_t recycled_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::atomic<std::int64_t> outstanding_{0};
+  std::size_t cache_cap_[kNumClasses];
+  /// Free lists and the registry of thread caches; thread caches share it,
+  /// so a cache whose thread outlives the pool can still tell it is gone.
+  std::shared_ptr<detail::PoolShared> shared_;
 };
 
 /// The value type transport::Message carries: a read-only byte view plus a

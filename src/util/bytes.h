@@ -29,6 +29,10 @@ class Writer {
   /// Wraps an existing buffer; appended bytes follow its current content.
   explicit Writer(Buffer buf) : buf_(std::move(buf)) {}
 
+  /// Reserves room for `n` more bytes, so an encoder that knows its exact
+  /// size allocates once instead of growing the vector step by step.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   void u16(std::uint16_t v) { append_le(v); }

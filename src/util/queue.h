@@ -6,6 +6,7 @@
 // blocking forever — the idiom every replica/worker loop in this repo uses.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -81,14 +82,15 @@ class BlockingQueue {
   /// Closes the queue: pending and future pushes fail, consumers drain.
   void close() {
     std::lock_guard lock(mu_);
-    closed_ = true;
+    closed_.store(true, std::memory_order_release);
     not_empty_.notify_all();
     not_full_.notify_all();
   }
 
+  /// Lock-free, so producers and the consumer can poll it on every item
+  /// without contending on the queue mutex.
   [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
+    return closed_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -116,7 +118,9 @@ class BlockingQueue {
   std::condition_variable not_full_;
   std::deque<T> items_;
   std::size_t capacity_ = 0;
-  bool closed_ = false;
+  /// Written under mu_ (so the waits' predicates see it); atomic so that
+  /// closed() can read it without the lock.
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace psmr::util

@@ -3,8 +3,9 @@
 // (smr/submit_spooler.h): refcount/recycle invariants, size-class and
 // free-list bounds, PayloadWriter wire-compatibility with util::Writer,
 // steady-state allocation-freedom (via the util/alloc_hook counting
-// allocator test_support defines), a concurrent acquire–share–release
-// stress with digest-vs-oracle checking, a seeded interleaving fuzz, and
+// allocator test_support defines), per-thread cache bounds and hand-back at
+// thread exit, a concurrent acquire–share–release stress with
+// digest-vs-oracle checking, a seeded interleaving fuzz, and per-proxy
 // spooler flush-trigger/ordering/failure semantics over a real Bus.
 #include "util/buffer_pool.h"
 
@@ -14,8 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <thread>
 #include <vector>
 
+#include "kvstore/kv_service.h"
 #include "multicast/amcast.h"
 #include "smr/command.h"
 #include "smr/submit_spooler.h"
@@ -113,6 +117,67 @@ TEST(BufferPool, TrimFreesRetainedBlocks) {
   PooledBuf b = pool.acquire(64);
   EXPECT_EQ(pool.stats().misses, 2u);
   EXPECT_EQ(pool.stats().hits, 0u);
+}
+
+TEST(BufferPool, ExitingThreadHandsCachedBlocksBack) {
+  BufferPool pool;
+  constexpr int kBlocks = 8;  // fits one thread cache: nothing spills
+  std::thread t([&] {
+    std::vector<PooledBuf> held;
+    for (int i = 0; i < kBlocks; ++i) held.push_back(pool.acquire(64));
+  });  // released into t's cache, which t hands back as it exits
+  t.join();
+  PoolStats s = pool.stats();
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(s.recycled, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(s.outstanding, 0);
+
+  // Another thread gets every block back from the free list.
+  std::vector<PooledBuf> again;
+  for (int i = 0; i < kBlocks; ++i) again.push_back(pool.acquire(64));
+  EXPECT_EQ(pool.stats().hits, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(pool.stats().misses, static_cast<std::uint64_t>(kBlocks));
+  again.clear();
+  EXPECT_EQ(pool.stats().outstanding, 0);
+}
+
+TEST(BufferPool, ThreadCacheIsBoundedInBlocksAndBytes) {
+  // A thread that releases many blocks keeps at most a cache's worth; the
+  // rest spills to the free list, where another thread finds it while the
+  // first is still alive.
+  struct Case {
+    std::size_t bytes;
+    std::size_t released;
+    std::size_t max_cached;
+  };
+  const Case cases[] = {
+      {64, 100, BufferPool::kCacheBlocks},  // bounded in blocks
+      {65536, 10, BufferPool::kCacheClassBytes / 65536},  // ... in bytes
+  };
+  for (const Case& c : cases) {
+    BufferPool pool;
+    std::atomic<bool> released{false};
+    std::atomic<bool> done{false};
+    std::thread t([&] {
+      {
+        std::vector<PooledBuf> held;
+        for (std::size_t i = 0; i < c.released; ++i) {
+          held.push_back(pool.acquire(c.bytes));
+        }
+      }
+      released = true;
+      while (!done) std::this_thread::yield();
+    });
+    while (!released) std::this_thread::yield();
+    std::vector<PooledBuf> again;
+    for (std::size_t i = 0; i < c.released; ++i) {
+      again.push_back(pool.acquire(c.bytes));
+    }
+    EXPECT_GE(pool.stats().hits, c.released - c.max_cached)
+        << c.bytes << "-byte class: the releasing thread kept too many";
+    done = true;
+    t.join();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +331,13 @@ TEST(BufferPoolStress, ConcurrentAcquireShareRelease) {
   });
 
   EXPECT_EQ(digest.load(), oracle);
-  EXPECT_EQ(pool.stats().outstanding, 0) << "stress leaked pool blocks";
+  PoolStats s = pool.stats();
+  EXPECT_EQ(s.outstanding, 0) << "stress leaked pool blocks";
+  // Every acquire was of a pooled class and counted exactly once, across
+  // four threads' caches folded back at exit.
+  EXPECT_EQ(s.hits + s.misses,
+            static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(s.oversize, 0u);
 }
 
 TEST(BufferPoolStress, SeededShareReleaseFuzz) {
@@ -480,10 +551,97 @@ TEST(SubmitSpooler, RejectedFlushIsCountedAndReported) {
   EXPECT_EQ(spooler.stats().failed_flush_commands, 2u);
 }
 
+TEST(SubmitSpooler, PerProxyFifoAcrossFlushesWhileOthersFlush) {
+  // Four proxies' spoolers, each driven from its own thread into the same
+  // ring, flush on count, on bytes and on poll entry all at once.  Each
+  // proxy's commands must reach the ring in submit order.
+  Network net;
+  Bus bus(net, fast_bus(1));
+  auto sub = bus.subscribe(0);
+  bus.start();
+  constexpr int kProxies = 4;
+  constexpr std::uint64_t kPerProxy = 300;
+  std::vector<SpoolStats> stats(kProxies);
+  test_support::run_threads(kProxies, [&](int t) {
+    auto [me, mybox] = net.register_node();
+    SubmitSpoolerOptions opt;
+    opt.max_commands = 5;
+    opt.max_bytes = 400;
+    SubmitSpooler spooler(bus, opt);
+    for (std::uint64_t i = 0; i < kPerProxy; ++i) {
+      Command c = cmd(i, GroupSet::single(0), i % 9 == 0 ? 300 : 8);
+      c.client = static_cast<ClientId>(t);
+      ASSERT_TRUE(spooler.spool(me, c));
+      if (i % 7 == 3) spooler.flush_all(me);
+    }
+    spooler.flush_all(me);
+    stats[static_cast<std::size_t>(t)] = spooler.stats();
+  });
+  for (const SpoolStats& s : stats) {
+    EXPECT_GT(s.flush_on_count, 0u);
+    EXPECT_GT(s.flush_on_bytes, 0u);
+    EXPECT_GT(s.flush_on_poll, 0u);
+    EXPECT_EQ(s.flushed_commands, kPerProxy);
+  }
+  std::map<ClientId, std::uint64_t> next;
+  for (std::uint64_t n = 0; n < kProxies * kPerProxy; ++n) {
+    auto m = sub->next();
+    ASSERT_TRUE(m.has_value()) << "delivered only " << n;
+    auto c = Command::decode(m->message);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->seq, next[c->client]++)
+        << "proxy " << c->client << " reordered";
+  }
+  for (int t = 0; t < kProxies; ++t) {
+    EXPECT_EQ(next[static_cast<ClientId>(t)], kPerProxy);
+  }
+  bus.stop();
+}
+
+TEST(SubmitSpooler, PollFlushesOnlyItsOwnProxysSpool) {
+  auto cfg = test_support::kv_config(Mode::kSmr, 1, /*initial_keys=*/64);
+  test_support::Cluster cluster(std::move(cfg));
+  auto a = cluster->make_client();
+  auto b = cluster->make_client();
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(
+        a->submit(kvstore::kKvRead, kvstore::encode_key(k)).has_value());
+  }
+  EXPECT_EQ(cluster->spool_stats().spooled_commands, 3u);
+  EXPECT_EQ(cluster->spool_stats().flushes, 0u);
+
+  // b's poll has nothing of its own to flush and leaves a's spool alone.
+  EXPECT_FALSE(b->poll(std::chrono::milliseconds(20)).has_value());
+  EXPECT_EQ(cluster->spool_stats().flushes, 0u);
+
+  // a's poll flushes a's spool, and a's commands complete.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(a->poll(std::chrono::seconds(10)).has_value());
+  }
+  SpoolStats s = cluster->spool_stats();
+  EXPECT_EQ(s.flushes, 1u);
+  EXPECT_EQ(s.flush_on_poll, 1u);
+  EXPECT_EQ(s.flushed_commands, 3u);
+  EXPECT_EQ(a->outstanding(), 0u);
+}
+
+TEST(SubmitSpooler, SubmitAfterShutdownLeavesNothingPending) {
+  auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/8);
+  ASSERT_TRUE(cfg.pipeline_submits.enabled);
+  test_support::Cluster cluster(std::move(cfg));
+  auto proxy = cluster->make_client();
+  cluster->stop();  // network shut down under the live proxy
+  EXPECT_FALSE(
+      proxy->submit(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+  EXPECT_EQ(proxy->outstanding(), 0u);
+  EXPECT_EQ(cluster->spool_stats().spooled_commands, 0u);
+}
+
 TEST(SubmitSpooler, DeploymentPipelinesAndConverges) {
-  // End-to-end: the default deployment wires the spooler in, the disjoint
-  // workload converges to identical replica digests, and every spooled
-  // command was flushed (poll-entry leaves nothing stranded).
+  // End-to-end: the default deployment gives every proxy its own spooler,
+  // the disjoint workload converges to identical replica digests, and
+  // every spooled command was flushed (each proxy's poll entry leaves
+  // nothing of its own stranded).
   auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/400);
   ASSERT_TRUE(cfg.pipeline_submits.enabled);
   test_support::Cluster cluster(std::move(cfg));

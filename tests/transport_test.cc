@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "transport/endpoint.h"
 
@@ -116,6 +118,64 @@ TEST(Network, StatsCountBytes) {
   net.send(a, b, 1, util::Buffer(28, 0));
   EXPECT_EQ(net.stats().bytes_sent, 128u);
   EXPECT_EQ(net.stats().messages_sent, 2u);
+}
+
+TEST(Network, ConcurrentRegisterSendDisconnectStress) {
+  // Senders hammer a victim node and the newest of a stream of freshly
+  // registered nodes, while a registrar keeps registering and the main
+  // thread disconnects and reconnects the victim.  A published node must
+  // always be found, and once disconnect() has returned the victim's
+  // mailbox receives nothing until reconnect().
+  Network net;
+  auto [victim, vbox] = net.register_node();
+  std::atomic<bool> stop{false};
+  std::atomic<NodeId> newest{kNoNode};
+  std::atomic<int> lookups_failed{0};
+
+  std::thread registrar([&] {
+    std::vector<std::shared_ptr<Mailbox>> boxes;
+    for (int i = 0; i < 2000 && !stop; ++i) {
+      auto [id, box] = net.register_node();
+      boxes.push_back(std::move(box));
+      newest.store(id, std::memory_order_release);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 3; ++t) {
+    senders.emplace_back([&] {
+      auto [me, mybox] = net.register_node();
+      for (std::uint64_t i = 0; !stop; ++i) {
+        net.send(me, victim, 1, {});
+        if (i % 8 != 0) continue;
+        NodeId n = newest.load(std::memory_order_acquire);
+        if (n != kNoNode && !net.send(me, n, 2, {})) ++lookups_failed;
+      }
+    });
+  }
+
+  for (int round = 0; round < 20; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    net.disconnect(victim);
+    while (vbox->try_pop()) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(vbox->size(), 0u)
+        << "round " << round << ": delivered after disconnect() returned";
+    EXPECT_FALSE(net.connected(victim));
+    net.reconnect(victim);
+  }
+  stop = true;
+  for (auto& t : senders) t.join();
+  registrar.join();
+  EXPECT_EQ(lookups_failed.load(), 0) << "a registered node was not found";
+  auto [me, mybox] = net.register_node();
+  while (vbox->try_pop()) {
+  }
+  EXPECT_TRUE(net.send(me, victim, 3, {}));
+  auto msg = vbox->try_pop();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->type, 3);
 }
 
 // --- Endpoint actor ---

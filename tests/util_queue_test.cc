@@ -99,5 +99,33 @@ TEST(BlockingQueue, MpmcAllItemsDeliveredExactlyOnce) {
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
 }
 
+TEST(BlockingQueue, ClosedIsVisibleToPollingProducers) {
+  // Producers poll closed() (lock-free) on every item, as ClientProxy does
+  // on every submit, while a consumer drains and the main thread closes.
+  // Every producer must see the close and stop, and no push may succeed
+  // after it.
+  BlockingQueue<int> q;
+  std::atomic<int> pushed{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 3; ++p) {
+    producers.emplace_back([&] {
+      while (!q.closed()) {
+        if (q.try_push(1)) ++pushed;
+      }
+      EXPECT_FALSE(q.try_push(1));
+    });
+  }
+  int popped = 0;
+  std::thread consumer([&] {
+    while (auto v = q.pop()) popped += *v;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  q.close();
+  EXPECT_TRUE(q.closed());
+  for (auto& t : producers) t.join();
+  consumer.join();
+  EXPECT_EQ(popped, pushed.load());
+}
+
 }  // namespace
 }  // namespace psmr::util
